@@ -19,7 +19,14 @@ checked-in baseline and fails (exit 1) when the metering gap widens:
   exact meter — and neither quotient may regress past ``threshold``
   times the recorded one;
 * the serving artifact cache's warm-vs-cold speedup must hold
-  ``--cache-floor`` (default 3.0) in the current run.
+  ``--cache-floor`` (default 3.0) in the current run;
+* the small job (gc-vs-tail N=64 on gc, unmetered, ``runner.run`` from
+  source text every run) must run at no less than
+  ``SMALL_JOB_SHARE_FLOOR`` of the same program's steady-state step
+  rate, measured in the same session, so the share holds across
+  hardware.  Front end and gen-3 codegen are what a small job pays on
+  top of stepping; without the codegen compile memo the share is
+  ~0.034, with it ~0.16.
 
 Usage::
 
@@ -36,6 +43,9 @@ import sys
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_ENGINE_FLOOR = 5.0
 DEFAULT_CACHE_FLOOR = 3.0
+#: Floor on ``small_job.share_of_steady``: from-source steps/s over
+#: steady-state steps/s of the same small program.
+SMALL_JOB_SHARE_FLOOR = 0.08
 
 
 def load_payload(path: str) -> dict:
@@ -169,6 +179,29 @@ def check_cache(baseline: dict, current: dict, floor: float) -> list:
     return [] if ok else ["cache"]
 
 
+def check_small_job(baseline: dict, current: dict) -> list:
+    """A small job run from source text must keep at least
+    ``SMALL_JOB_SHARE_FLOOR`` of its steady-state step rate.  The share
+    is within-session; the baseline is consulted only for presence, so
+    a run that silently drops the row fails."""
+    entry = current.get("small_job")
+    if not entry:
+        if not baseline.get("small_job"):
+            return []
+        print("FAIL small_job: missing from the current run")
+        return ["small_job"]
+    share = entry["share_of_steady"]
+    ok = share >= SMALL_JOB_SHARE_FLOOR
+    print(
+        f"{'ok  ' if ok else 'FAIL'} small_job {share:.3f} of steady "
+        f"state (floor {SMALL_JOB_SHARE_FLOOR:.3f}): "
+        f"{entry['steps_per_second']:.0f} vs "
+        f"{entry['steady_steps_per_second']:.0f} steps/s on "
+        f"{entry.get('workload')}"
+    )
+    return [] if ok else ["small_job"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="recorded BENCH_throughput.json")
@@ -198,6 +231,7 @@ def main(argv=None) -> int:
     failures.extend(check_engine_floor(current, args.engine_floor))
     failures.extend(check_sampled_flagship(baseline, current, args.threshold))
     failures.extend(check_cache(baseline, current, args.cache_floor))
+    failures.extend(check_small_job(baseline, current))
     if failures:
         print(
             f"metered-throughput regression: {', '.join(failures)}"
@@ -205,7 +239,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"metered throughput within {args.threshold}x of the recorded "
-        "baseline; engine and sampled gates hold"
+        "baseline; engine, sampled, cache and small-job gates hold"
     )
     return 0
 

@@ -396,6 +396,92 @@ def test_bench_cache_warm_vs_cold(throughput_log):
 
 
 # ---------------------------------------------------------------------------
+# The small job: one corpus-shaped program run from source text, the way
+# `repro run`, the Corollary 20 checks and every served submission run
+# it — reader, expander, prepass, lowering and gen-3 codegen included —
+# against the same program's steady-state step rate.
+# ---------------------------------------------------------------------------
+
+SMALL_JOB_SEPARATOR = "gc-vs-tail"
+SMALL_JOB_MACHINE = "gc"
+SMALL_JOB_N = 64
+SMALL_JOB_ROUNDS = 15
+SMALL_JOB_ITERATIONS = 20
+#: Steady-state runs per round: a steady run is several times cheaper
+#: than a from-source one, so more of them fill a comparable window.
+SMALL_JOB_STEADY_ITERATIONS = 100
+
+
+def _seconds_per_call(fn, iterations):
+    start = time.perf_counter()
+    for _ in range(iterations):
+        fn()
+    return (time.perf_counter() - start) / iterations
+
+
+def test_bench_small_job(throughput_log):
+    """Record the from-source step rate of a small unmetered job as a
+    share of its steady-state rate (the same program prepared once,
+    its gen-3 functions built once, run again and again).  The two are
+    timed back to back in alternating order, round after round, and the
+    share is the median of the per-round quotients, so a slow phase of
+    a shared host hits both sides of a quotient alike and the share
+    holds across hardware; ``check_throughput.py`` gates it."""
+    import statistics
+
+    from repro.harness.runner import run
+
+    source = SEPARATORS_BY_NAME[SMALL_JOB_SEPARATOR].source
+    argument = str(SMALL_JOB_N)
+    expected = run(source, argument, SMALL_JOB_MACHINE, stepper="seed")
+
+    def from_source():
+        result = run(source, argument, SMALL_JOB_MACHINE)
+        assert (result.answer, result.steps) == (
+            expected.answer, expected.steps
+        )
+
+    program = prepare_program(source)
+    value = prepare_input(argument)
+    machine = make_machine(SMALL_JOB_MACHINE)
+
+    def steady():
+        _final, steps = run_to_final(machine, program, value)
+        assert steps == expected.steps
+
+    steady()  # build the gen-3 functions outside the timing
+    from_source()
+    source_times, steady_times, shares = [], [], []
+    for index in range(SMALL_JOB_ROUNDS):
+        if index % 2:
+            steady_s = _seconds_per_call(steady, SMALL_JOB_STEADY_ITERATIONS)
+            source_s = _seconds_per_call(from_source, SMALL_JOB_ITERATIONS)
+        else:
+            source_s = _seconds_per_call(from_source, SMALL_JOB_ITERATIONS)
+            steady_s = _seconds_per_call(steady, SMALL_JOB_STEADY_ITERATIONS)
+        steady_times.append(steady_s)
+        source_times.append(source_s)
+        shares.append(steady_s / source_s)
+    source_s = statistics.median(source_times)
+    steady_s = statistics.median(steady_times)
+    throughput_log["small_job"] = {
+        "workload": (
+            f"{SMALL_JOB_SEPARATOR} N={SMALL_JOB_N} on "
+            f"{SMALL_JOB_MACHINE}, unmetered, runner.run from source "
+            "text every run"
+        ),
+        "steps": expected.steps,
+        "rounds": SMALL_JOB_ROUNDS,
+        "iterations": SMALL_JOB_ROUNDS * SMALL_JOB_ITERATIONS,
+        "seconds_per_run": round(source_s, 6),
+        "steady_seconds_per_run": round(steady_s, 6),
+        "steps_per_second": round(expected.steps / source_s, 1),
+        "steady_steps_per_second": round(expected.steps / steady_s, 1),
+        "share_of_steady": round(statistics.median(shares), 4),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Compile-once stepper step rate: the preserved seed stepper (before)
 # against the annotated dispatch-table stepper with the fused run loop
 # (after), identical transitions verified per measurement.

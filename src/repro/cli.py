@@ -645,6 +645,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .serving.server import ReproServer
 
@@ -664,6 +665,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def announce(line: str) -> None:
         print(line, flush=True)
 
+    def terminate(signum, frame):
+        # SIGTERM (``kill``, service managers) takes the Ctrl-C path,
+        # so close_sync() below reaps the worker pool instead of
+        # leaving the forked workers orphaned.
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, terminate)
     try:
         asyncio.run(server.serve_forever(announce=announce))
     except KeyboardInterrupt:

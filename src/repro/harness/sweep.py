@@ -28,6 +28,7 @@ and a harness test holds parallel output byte-identical to serial.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -209,7 +210,13 @@ def _pool_worker_main(conn) -> None:
     """Worker-process loop: receive ``(fn, arg)`` jobs, reply with zero
     or more ``("progress", payload)`` messages followed by exactly one
     ``("done", result)`` or ``("error", message)``.  ``None`` shuts the
-    worker down.  Module-level so it pickles by reference."""
+    worker down.  Module-level so it pickles by reference.
+
+    SIGTERM gets its default disposition back: a forked worker inherits
+    the parent's handlers (``repro serve`` turns SIGTERM into its own
+    shutdown), and ``WorkerPool.shutdown`` relies on ``terminate()``
+    ending the worker even mid-job."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     def emit(payload) -> None:
         try:

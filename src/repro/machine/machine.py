@@ -1100,13 +1100,6 @@ def _run_code(machine, store, code, args, base, kont, entry_kont,
             )
 
 
-#: Minimum remaining step budget before a generated function (tier 3b)
-#: is built or entered.  Small batches — the lockstep tests' limits of
-#: 1..13 — run on the bytecode interpreter, which handles boundaries a
-#: few steps apart without the per-entry cost of a generated prologue.
-_GEN3_FN_HEADROOM = 64
-
-
 def _enter_code(machine, store, code, args, base, kont, entry_kont,
                 steps, limit, depth=0):
     """Run *code*: the generated per-variant function when one exists
@@ -1121,13 +1114,8 @@ def _enter_code(machine, store, code, args, base, kont, entry_kont,
     fns = code.fns
     fn = fns.get(cls)
     if fn is None:
-        if cls in fns or limit - steps < _GEN3_FN_HEADROOM:
-            return _run_code(
-                machine, store, code, args, base, kont, entry_kont,
-                steps, limit, depth,
-            )
-        fn = build_fn(code, machine)
-        fns[cls] = fn
+        if cls not in fns:
+            fn = fns[cls] = build_fn(code, machine)
         if fn is None:
             return _run_code(
                 machine, store, code, args, base, kont, entry_kont,
@@ -1144,9 +1132,8 @@ def _enter_code(machine, store, code, args, base, kont, entry_kont,
         fns = code.fns
         fn = fns.get(cls)
         if fn is None:
-            if cls not in fns and limit - steps >= _GEN3_FN_HEADROOM:
-                fn = build_fn(code, machine)
-                fns[cls] = fn
+            if cls not in fns:
+                fn = fns[cls] = build_fn(code, machine)
             if fn is None:
                 # The interpreter finishes the transferred activation
                 # (and performs any further transfers internally).

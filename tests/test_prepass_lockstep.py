@@ -649,8 +649,9 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
 # whole run), against the seed stepper's exact per-step fingerprints —
 # which carry the store's flat AND linked space numbers at both
 # precisions, so every batch boundary checks both accountings.  The
-# generated-function headroom is forced to 0 so the compiled tier
-# engages even when a batch budget is tiny.
+# generated functions (tier 3b) engage at every batch size; a second
+# pass declines them so the bytecode interpreter (tier 3a) is held to
+# the same fingerprints.
 
 #: One program per edge of the bytecode pass / loop reconstruction.
 GEN3_PROGRAMS = {
@@ -717,16 +718,24 @@ GEN3_PROGRAMS = {
 GEN3_LIMITS = tuple(range(1, 14))
 
 
-@pytest.fixture
-def _gen3_zero_headroom(monkeypatch):
-    import repro.machine.machine as machine_mod
-
-    monkeypatch.setattr(machine_mod, "_GEN3_FN_HEADROOM", 0)
+@pytest.mark.parametrize("name", sorted(GEN3_PROGRAMS), ids=str)
+@pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
+def test_gen3_batched_lockstep(machine_name, name):
+    _batched_lockstep(
+        machine_name, GEN3_PROGRAMS[name],
+        limits=GEN3_LIMITS, stepper="gen3",
+    )
 
 
 @pytest.mark.parametrize("name", sorted(GEN3_PROGRAMS), ids=str)
 @pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
-def test_gen3_batched_lockstep(machine_name, name, _gen3_zero_headroom):
+def test_gen3_interpreter_batched_lockstep(machine_name, name, monkeypatch):
+    """Every generated function declined: the bytecode interpreter
+    (``machine._run_code``, which runs whatever ``build_fn`` declines)
+    replays the same batches."""
+    import repro.machine.machine as machine_mod
+
+    monkeypatch.setattr(machine_mod, "build_fn", lambda code, machine: None)
     _batched_lockstep(
         machine_name, GEN3_PROGRAMS[name],
         limits=GEN3_LIMITS, stepper="gen3",
@@ -785,10 +794,8 @@ def _space_profile(machine_name, stepper, program, argument):
 @settings(max_examples=40, deadline=None)
 def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
     """A random body inside a self-tail loop: the gen-3 run (loops
-    reconstructed, headroom 0) and the gen-2 run (gen-3 off) agree on
-    answer, step count, sup space, and peak step."""
-    import repro.machine.machine as machine_mod
-
+    reconstructed) and the gen-2 run (gen-3 off) agree on answer, step
+    count, sup space, and peak step."""
     program = prepare_program(
         "(define (loop i acc)"
         "  (if (zero? i) (length acc)"
@@ -796,11 +803,6 @@ def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
         "(define (f n) (loop n '()))"
     )
     argument = prepare_input("4")
-    old = machine_mod._GEN3_FN_HEADROOM
-    machine_mod._GEN3_FN_HEADROOM = 0
-    try:
-        with_loops = _space_profile(machine_name, "gen3", program, argument)
-        without = _space_profile(machine_name, "gen2", program, argument)
-    finally:
-        machine_mod._GEN3_FN_HEADROOM = old
+    with_loops = _space_profile(machine_name, "gen3", program, argument)
+    without = _space_profile(machine_name, "gen2", program, argument)
     assert with_loops == without, machine_name

@@ -770,3 +770,75 @@ def test_exit_codes_share_one_source_with_docs_and_cli_help():
     for code, name, _meaning in EXIT_CODES:
         assert name in help_text, name
         assert str(code) in help_text
+
+
+# -- process lifecycle: SIGTERM reaps the worker pool ------------------
+
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+
+def _children(pid):
+    """Pids whose parent is *pid* (from /proc)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process parentage from /proc"
+)
+def test_serve_sigterm_reaps_its_workers(tmp_path):
+    """``kill`` on ``repro serve`` shuts down like Ctrl-C: the server
+    exits 0 and no forked worker outlives it."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    with open(tmp_path / "serve.err", "w") as err:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=err, text=True, env=env,
+        )
+    workers = []
+    try:
+        assert "serving on" in server.stdout.readline()
+        workers = _children(server.pid)
+        assert len(workers) >= 2, workers
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)], workers
+    finally:
+        for pid in [server.pid, *workers]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        server.wait(timeout=10)
+        server.stdout.close()
